@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race audit ckpt-smoke exhaust-smoke scale-smoke bench-smoke sample-smoke bench bench-diff regen-bench run experiments
+.PHONY: check build vet lint test perfbench-test race audit ckpt-smoke exhaust-smoke scale-smoke bench-smoke sample-smoke bench bench-diff regen-bench run experiments
 
 # check is the full verification gate: compile, vet, the determinism linter,
 # the whole test suite, a fast race pass (Quick-scale simulations skip under
@@ -29,6 +29,14 @@ test:
 
 race:
 	$(GO) test -race -short -timeout 30m ./...
+
+# perfbench-test runs the benchmark module's own tests (metric lists match
+# BENCHMARK.json, same seed gives identical counts, every output check
+# rejects bad input, Merge fold of step deltas == whole-phase Delta).
+# perfbench/ is a separate Go module, so `go test ./...` at the root never
+# reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test -timeout 30m ./...
 
 # audit runs a web simulation with the invariant auditor on a tight period:
 # it exits nonzero on any cross-layer inconsistency (see CHECKPOINT.md).

@@ -11,21 +11,22 @@ import (
 
 // CounterFlow enforces the counter→report pipeline: every monotone counter a
 // simulated subsystem increments must flow into the report package's Take
-// snapshot AND be differenced in Delta. This is the PR 6/7 bug class made
-// compile-time: a counter wired into Take but dropped from Delta reports
-// zeros for every measurement window, forever, silently.
+// snapshot, and every snapshot field must be captured there. A counter that
+// never reaches Take reports zero for every measurement window, forever,
+// silently. (Delta and Merge walk the snapshot type itself, so a captured
+// field cannot be dropped downstream of Take.)
 var CounterFlow = &Analyzer{
 	Name: "counterflow",
-	Doc: `require every monotone subsystem counter to reach report.Take and Delta
+	Doc: `require every monotone subsystem counter to reach report.Take
 
 A monotone counter is a uint64 (or [N]uint64) struct field that some function
 in a counted subsystem package (kernel, mem, cache, tlb, netsim, faults — or
-any package defining its own Take/Delta pair) increments with ++ or += and
+any package defining its own package-level Take) increments with ++ or += and
 never decrements or plainly reassigns outside New*/Restore*/Reset* functions.
 Each such counter must be read by some function reachable from the report
 sink's Take (directly, or through an accessor method Take calls), and every
-top-level field of the snapshot type Take returns must be referenced in both
-Take and Delta. Counters that are deliberately internal carry
+top-level field of the snapshot type Take returns must be referenced in Take.
+Counters that are deliberately internal carry
 //detlint:ignore counterflow <reason> on their field declaration.`,
 	RunSuite: runCounterFlow,
 }
@@ -38,12 +39,12 @@ var counterScopePkgs = map[string]bool{
 }
 
 // counterSink is one report-shaped package: package-level Take returning a
-// struct, package-level Delta.
+// struct.
 type counterSink struct {
-	pkg         *Package
-	take, delta *ast.FuncDecl
-	takeObj     *types.Func
-	snap        *types.Named // Take's result type
+	pkg     *Package
+	take    *ast.FuncDecl
+	takeObj *types.Func
+	snap    *types.Named // Take's result type
 }
 
 func runCounterFlow(pass *SuitePass) error {
@@ -108,27 +109,20 @@ func runCounterFlow(pass *SuitePass) error {
 	return nil
 }
 
-// findCounterSinks locates packages declaring a package-level Take (returning
-// a named struct) and Delta.
+// findCounterSinks locates packages declaring a package-level Take returning
+// a named struct.
 func findCounterSinks(s *Suite) []*counterSink {
 	var out []*counterSink
 	for _, pkg := range s.Pkgs {
 		sink := &counterSink{pkg: pkg}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil {
-					continue
-				}
-				switch fd.Name.Name {
-				case "Take":
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "Take" {
 					sink.take = fd
-				case "Delta":
-					sink.delta = fd
 				}
 			}
 		}
-		if sink.take == nil || sink.delta == nil {
+		if sink.take == nil {
 			continue
 		}
 		obj, ok := pkg.Info.Defs[sink.take.Name].(*types.Func)
@@ -277,23 +271,14 @@ func counterFieldType(t types.Type) bool {
 }
 
 // checkSnapshotFieldFlow requires every top-level field of the sink's
-// snapshot struct to be referenced in both Take and Delta.
+// snapshot struct to be referenced in Take.
 func checkSnapshotFieldFlow(pass *SuitePass, s *counterSink) {
 	st := s.snap.Underlying().(*types.Struct)
 	inTake := fieldsReferenced(s.pkg, s.take)
-	inDelta := fieldsReferenced(s.pkg, s.delta)
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if pass.Ignored(s.pkg.Fset, f.Pos()) {
-			continue
-		}
-		switch {
-		case !inTake[f] && !inDelta[f]:
-			pass.Reportf(s.pkg.Fset, f.Pos(), "snapshot field %s.%s is populated by neither Take nor Delta and will always read zero", s.snap.Obj().Name(), f.Name())
-		case !inTake[f]:
-			pass.Reportf(s.pkg.Fset, f.Pos(), "snapshot field %s.%s is differenced in Delta but never captured by Take", s.snap.Obj().Name(), f.Name())
-		case !inDelta[f]:
-			pass.Reportf(s.pkg.Fset, f.Pos(), "snapshot field %s.%s is captured by Take but dropped from Delta; every window will report zero", s.snap.Obj().Name(), f.Name())
+		if !inTake[f] && !pass.Ignored(s.pkg.Fset, f.Pos()) {
+			pass.Reportf(s.pkg.Fset, f.Pos(), "snapshot field %s.%s is never captured by Take and will always read zero", s.snap.Obj().Name(), f.Name())
 		}
 	}
 }

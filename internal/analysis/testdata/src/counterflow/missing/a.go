@@ -1,7 +1,6 @@
 // Fixture for the counterflow analyzer. This package is its own report sink
-// (package-level Take and Delta), so its monotone counters must be read on
-// some path from Take, and every Snapshot field must appear in both Take and
-// Delta.
+// (package-level Take), so its monotone counters must be read on some path
+// from Take, and every Snapshot field must be captured in Take.
 package missing
 
 // core is the counted subsystem.
@@ -29,9 +28,8 @@ func (c *core) drain() {
 type Snapshot struct {
 	Hits    uint64
 	Retries uint64
-	Stalls  uint64 // want `snapshot field Snapshot\.Stalls is captured by Take but dropped from Delta; every window will report zero`
-	Ghost   uint64 // want `snapshot field Snapshot\.Ghost is populated by neither Take nor Delta and will always read zero`
-	Phantom uint64 // want `snapshot field Snapshot\.Phantom is differenced in Delta but never captured by Take`
+	Stalls  uint64
+	Ghost   uint64 // want `snapshot field Snapshot\.Ghost is never captured by Take and will always read zero`
 }
 
 // Take captures the counters, one directly and one through an accessor.
@@ -45,12 +43,3 @@ func Take(c *core) Snapshot {
 
 func (c *core) retryCount() uint64    { return c.retries }
 func (c *core) stallEstimate() uint64 { return c.hits / 2 }
-
-// Delta differences two snapshots; Stalls is deliberately dropped.
-func Delta(a, b Snapshot) Snapshot {
-	return Snapshot{
-		Hits:    b.Hits - a.Hits,
-		Retries: b.Retries - a.Retries,
-		Phantom: b.Phantom - a.Phantom,
-	}
-}

@@ -1,25 +1,13 @@
 package report
 
-import (
-	"repro/internal/conflict"
-	"repro/internal/isa"
-	"repro/internal/pipeline"
-)
+import "reflect"
 
-func (s StructStats) merge(o StructStats) StructStats {
-	var m StructStats
-	for i := 0; i < 2; i++ {
-		m.Accesses[i] = s.Accesses[i] + o.Accesses[i]
-		m.Misses[i] = s.Misses[i] + o.Misses[i]
-		for c := 0; c < conflict.NumCauses; c++ {
-			m.Causes.Counts[i][c] = s.Causes.Counts[i][c] + o.Causes.Counts[i][c]
-		}
-		for j := 0; j < 2; j++ {
-			m.Shared.Avoided[i][j] = s.Shared.Avoided[i][j] + o.Shared.Avoided[i][j]
-		}
-	}
-	m.Invalid = s.Invalid + o.Invalid
-	return m
+// Delta returns the window b - a: every counter as its difference, every
+// gauge as b's instantaneous value.
+func Delta(a, b Snapshot) Snapshot {
+	var d Snapshot
+	combine(reflect.ValueOf(&d).Elem(), reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem(), true)
+	return d
 }
 
 // Merge combines two window deltas a + b, the additive inverse of Delta:
@@ -29,110 +17,46 @@ func (s StructStats) merge(o StructStats) StructStats {
 // later window. Folding per-window deltas left-to-right in window order makes
 // the result independent of which worker or process produced each window.
 func Merge(a, b Snapshot) Snapshot {
-	m := Snapshot{
-		Cycles:  a.Cycles + b.Cycles,
-		CycleAt: a.CycleAt.Merge(&b.CycleAt),
-		L1I:     a.L1I.merge(b.L1I),
-		L1D:     a.L1D.merge(b.L1D),
-		L2:      a.L2.merge(b.L2),
-		ITLB:    a.ITLB.merge(b.ITLB),
-		DTLB:    a.DTLB.merge(b.DTLB),
-		BTB:     a.BTB.merge(b.BTB),
-	}
-	m.Metrics = pipeline.Metrics{
-		Cycles:        a.Metrics.Cycles + b.Metrics.Cycles,
-		Retired:       a.Metrics.Retired + b.Metrics.Retired,
-		Fetched:       a.Metrics.Fetched + b.Metrics.Fetched,
-		Squashed:      a.Metrics.Squashed + b.Metrics.Squashed,
-		ZeroFetch:     a.Metrics.ZeroFetch + b.Metrics.ZeroFetch,
-		ZeroIssue:     a.Metrics.ZeroIssue + b.Metrics.ZeroIssue,
-		MaxIssue:      a.Metrics.MaxIssue + b.Metrics.MaxIssue,
-		FetchableSum:  a.Metrics.FetchableSum + b.Metrics.FetchableSum,
-		IntIssued:     a.Metrics.IntIssued + b.Metrics.IntIssued,
-		FPIssued:      a.Metrics.FPIssued + b.Metrics.FPIssued,
-		Interrupts:    a.Metrics.Interrupts + b.Metrics.Interrupts,
-		DTLBTraps:     a.Metrics.DTLBTraps + b.Metrics.DTLBTraps,
-		ITLBTraps:     a.Metrics.ITLBTraps + b.Metrics.ITLBTraps,
-		SyscallsSeen:  a.Metrics.SyscallsSeen + b.Metrics.SyscallsSeen,
-		RetireStallSB: a.Metrics.RetireStallSB + b.Metrics.RetireStallSB,
-	}
-	for p := 0; p < 2; p++ {
-		for c := 0; c < isa.NumClasses; c++ {
-			m.Mix.Count[p][c] = a.Mix.Count[p][c] + b.Mix.Count[p][c]
-		}
-		m.Mix.PhysLoad[p] = a.Mix.PhysLoad[p] + b.Mix.PhysLoad[p]
-		m.Mix.PhysStore[p] = a.Mix.PhysStore[p] + b.Mix.PhysStore[p]
-		m.Mix.CondTaken[p] = a.Mix.CondTaken[p] + b.Mix.CondTaken[p]
-		m.BpLookups[p] = a.BpLookups[p] + b.BpLookups[p]
-		m.BpMispredicts[p] = a.BpMispredicts[p] + b.BpMispredicts[p]
-	}
-	for i := range m.SyscallCount {
-		m.SyscallCount[i] = a.SyscallCount[i] + b.SyscallCount[i]
-	}
-	for i := range m.VMFaults {
-		m.VMFaults[i] = a.VMFaults[i] + b.VMFaults[i]
-	}
-	for i := range m.OutstandingArea {
-		m.OutstandingArea[i] = a.OutstandingArea[i] + b.OutstandingArea[i]
-	}
-	for i := range m.Writebacks {
-		m.Writebacks[i] = a.Writebacks[i] + b.Writebacks[i]
-	}
-	for i := range m.SvcInstByRes {
-		m.SvcInstByRes[i] = a.SvcInstByRes[i] + b.SvcInstByRes[i]
-	}
-	for i := range m.NetPerClass {
-		m.NetPerClass[i] = a.NetPerClass[i] + b.NetPerClass[i]
-	}
-	m.BusTransactions = a.BusTransactions + b.BusTransactions
-	m.SBPushed = a.SBPushed + b.SBPushed
-	m.SBDrained = a.SBDrained + b.SBDrained
-	m.SBFullStalls = a.SBFullStalls + b.SBFullStalls
-	m.IdleScheduled = a.IdleScheduled + b.IdleScheduled
-	m.LockContentions = a.LockContentions + b.LockContentions
-	m.SpinInsts = a.SpinInsts + b.SpinInsts
-	m.DiskReads = a.DiskReads + b.DiskReads
-	m.NICDelivered = a.NICDelivered + b.NICDelivered
-	m.NICDropped = a.NICDropped + b.NICDropped
-	m.FaultCrashInjections = a.FaultCrashInjections + b.FaultCrashInjections
-	m.ContextSwitches = a.ContextSwitches + b.ContextSwitches
-	m.Preemptions = a.Preemptions + b.Preemptions
-	m.MemAllocs = a.MemAllocs + b.MemAllocs
-	m.MemRefills = a.MemRefills + b.MemRefills
-	m.MemReclaims = a.MemReclaims + b.MemReclaims
-	m.MemUnmaps = a.MemUnmaps + b.MemUnmaps
-	m.ASNRecycles = a.ASNRecycles + b.ASNRecycles
-	m.ClockInterrupts = a.ClockInterrupts + b.ClockInterrupts
-	m.NetInterrupts = a.NetInterrupts + b.NetInterrupts
-	m.NetRequests = a.NetRequests + b.NetRequests
-	m.NetCompleted = a.NetCompleted + b.NetCompleted
-	m.NetBytes = a.NetBytes + b.NetBytes
-	m.NetRetransmits = a.NetRetransmits + b.NetRetransmits
-	m.NetAborted = a.NetAborted + b.NetAborted
-	m.NetResets = a.NetResets + b.NetResets
-	m.FramesDropped = a.FramesDropped + b.FramesDropped
-	m.FramesCorrupted = a.FramesCorrupted + b.FramesCorrupted
-	m.FramesDelayed = a.FramesDelayed + b.FramesDelayed
-	m.WorkerCrashes = a.WorkerCrashes + b.WorkerCrashes
-	m.WorkerRespawns = a.WorkerRespawns + b.WorkerRespawns
-	m.ConnsRefused = a.ConnsRefused + b.ConnsRefused
-	m.ReapedIdle = a.ReapedIdle + b.ReapedIdle
-	m.ReapedSlowloris = a.ReapedSlowloris + b.ReapedSlowloris
-	m.MemReclaimScans = a.MemReclaimScans + b.MemReclaimScans
-	m.MemSecondChances = a.MemSecondChances + b.MemSecondChances
-	m.MemLimitOverruns = a.MemLimitOverruns + b.MemLimitOverruns
-	m.SockPoolRejects = a.SockPoolRejects + b.SockPoolRejects
-	m.MbufDrops = a.MbufDrops + b.MbufDrops
-	m.FDRejects = a.FDRejects + b.FDRejects
-	m.ForkRejects = a.ForkRejects + b.ForkRejects
-	m.Squeezes = a.Squeezes + b.Squeezes
-	// Gauges: the later window's instantaneous values win, matching Delta.
-	m.MemFrameLimit = b.MemFrameLimit
-	m.MemRSSHighwater = b.MemRSSHighwater
-	m.FramesHighwater = b.FramesHighwater
-	m.SockHighwater = b.SockHighwater
-	m.MbufHighwater = b.MbufHighwater
-	m.Latency = a.Latency.Merge(b.Latency)
-	m.Sampling = a.Sampling.Merge(b.Sampling)
+	var m Snapshot
+	combine(reflect.ValueOf(&m).Elem(), reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem(), false)
 	return m
+}
+
+// combine walks the Snapshot type through structs and arrays and sets each
+// leaf of out from the matching leaves of a and b. uint64 and float64 leaves
+// are counters: b - a when sub, else a + b. Gauges take b's value: a bool
+// leaf, or any field tagged `report:"gauge"`. Any other leaf kind panics, so
+// a new field is a counter unless declared otherwise, and never skipped.
+func combine(out, a, b reflect.Value, sub bool) {
+	switch out.Kind() {
+	case reflect.Struct:
+		t := out.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).Tag.Get("report") == "gauge" {
+				out.Field(i).Set(b.Field(i))
+				continue
+			}
+			combine(out.Field(i), a.Field(i), b.Field(i), sub)
+		}
+	case reflect.Array:
+		for i := 0; i < out.Len(); i++ {
+			combine(out.Index(i), a.Index(i), b.Index(i), sub)
+		}
+	case reflect.Uint64:
+		if sub {
+			out.SetUint(b.Uint() - a.Uint())
+		} else {
+			out.SetUint(a.Uint() + b.Uint())
+		}
+	case reflect.Float64:
+		if sub {
+			out.SetFloat(b.Float() - a.Float())
+		} else {
+			out.SetFloat(a.Float() + b.Float())
+		}
+	case reflect.Bool:
+		out.SetBool(b.Bool())
+	default:
+		panic("report: Snapshot leaf of type " + out.Type().String() + " is neither a counter (uint64, float64) nor a gauge (bool, or a field tagged `report:\"gauge\"`)")
+	}
 }

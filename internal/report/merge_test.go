@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -46,13 +47,42 @@ func fillSnapshot(k uint64) Snapshot {
 	return s
 }
 
+// checkWindowLeaves walks a window d = Delta(a, b) of two fills beside b and
+// reports every counter leaf of d that is zero (a dropped counter) and every
+// gauge leaf that differs from b's (a differenced gauge). Gauges are bool
+// leaves and fields tagged `report:"gauge"`, the same rule Delta and Merge
+// follow.
+func checkWindowLeaves(t *testing.T, path string, d, b reflect.Value, gauge bool) {
+	t.Helper()
+	switch {
+	case gauge || d.Kind() == reflect.Bool:
+		if !reflect.DeepEqual(d.Interface(), b.Interface()) {
+			t.Errorf("gauge %s = %v in the window, want the end snapshot's %v", path, d.Interface(), b.Interface())
+		}
+	case d.Kind() == reflect.Struct:
+		for i := 0; i < d.NumField(); i++ {
+			f := d.Type().Field(i)
+			checkWindowLeaves(t, path+"."+f.Name, d.Field(i), b.Field(i), f.Tag.Get("report") == "gauge")
+		}
+	case d.Kind() == reflect.Array:
+		for i := 0; i < d.Len(); i++ {
+			checkWindowLeaves(t, fmt.Sprintf("%s[%d]", path, i), d.Index(i), b.Index(i), false)
+		}
+	case d.IsZero():
+		t.Errorf("counter %s is 0 in a window where every counter moved; Delta drops it", path)
+	}
+}
+
 // TestMergeMirrorsDelta pins the contract the windowed pipeline depends on:
 // report.Merge is the additive inverse of report.Delta, so folding
 // per-window deltas in window order reconstructs the whole-run delta
 // exactly. Because the fill covers every field reflectively, a counter added
-// to Snapshot but forgotten in either Merge or Delta fails this test.
+// to Snapshot but forgotten in either Merge or Delta fails this test: the
+// window between two fills must move every counter leaf and carry every
+// gauge from its end snapshot.
 func TestMergeMirrorsDelta(t *testing.T) {
 	a, b, c := fillSnapshot(1), fillSnapshot(10), fillSnapshot(100)
+	checkWindowLeaves(t, "Snapshot", reflect.ValueOf(Delta(a, b)), reflect.ValueOf(b), false)
 
 	got := Merge(Delta(a, b), Delta(b, c))
 	want := Delta(a, c)
@@ -67,6 +97,29 @@ func TestMergeMirrorsDelta(t *testing.T) {
 	}
 }
 
+// TestCombineRejectsUndeclaredLeaf checks the walker refuses a leaf that is
+// neither a counter kind nor tagged as a gauge, instead of silently skipping
+// it, and accepts the same kind once tagged.
+func TestCombineRejectsUndeclaredLeaf(t *testing.T) {
+	type bad struct{ N int }
+	type tagged struct {
+		N int `report:"gauge"`
+	}
+	run := func(v any) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		out := reflect.New(reflect.TypeOf(v)).Elem()
+		in := reflect.ValueOf(v)
+		combine(out, in, in, true)
+		return false
+	}
+	if !run(bad{N: 1}) {
+		t.Error("combine accepted an untagged int leaf")
+	}
+	if run(tagged{N: 1}) {
+		t.Error("combine rejected an int leaf tagged as a gauge")
+	}
+}
+
 // TestMergeZeroIdentity checks a zero delta is a Merge identity for counters
 // (gauges follow the later operand by design, so only the counter fields are
 // compared via a round trip through Delta of identical snapshots).
@@ -78,5 +131,29 @@ func TestMergeZeroIdentity(t *testing.T) {
 	got := Merge(d, zero)
 	if !reflect.DeepEqual(got, d) {
 		t.Errorf("Merge(d, Delta(b,b)) != d")
+	}
+}
+
+var benchSink Snapshot
+
+// BenchmarkDelta measures one window difference over a fully populated
+// Snapshot (every leaf nonzero, so no field is skipped by accident).
+func BenchmarkDelta(b *testing.B) {
+	x, y := fillSnapshot(1), fillSnapshot(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Delta(x, y)
+	}
+}
+
+// BenchmarkMerge measures one window fold step over the same populated
+// deltas the windowed pipeline combines.
+func BenchmarkMerge(b *testing.B) {
+	x, y := Delta(fillSnapshot(1), fillSnapshot(10)), Delta(fillSnapshot(10), fillSnapshot(100))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Merge(x, y)
 	}
 }

@@ -9,9 +9,9 @@ const HistBuckets = 256
 // frozen — one bucket per unit, HistBuckets buckets, plus an overflow
 // counter — so there is no reservoir sampling and no randomness: two runs
 // that observe the same values produce bit-identical histograms. The struct
-// is comparable (fixed array, no pointers) and subtracts per-field, which
-// lets report.Delta compute the histogram of a measurement window as
-// end − start, the same contract stats.Series follows.
+// is comparable (fixed array, no pointers) and every field is a uint64
+// count, so report.Delta and report.Merge difference and add it leaf by leaf
+// like any other Snapshot counter, the same contract stats.Series follows.
 type Hist struct {
 	// Count is the number of observations, including overflows.
 	Count uint64
@@ -79,14 +79,4 @@ func (h Hist) Sub(prev Hist) Hist {
 		d.Buckets[i] = h.Buckets[i] - prev.Buckets[i]
 	}
 	return d
-}
-
-// Merge returns the sum h + o (the inverse of Sub, for combining windowed
-// deltas).
-func (h Hist) Merge(o Hist) Hist {
-	m := Hist{Count: h.Count + o.Count, Sum: h.Sum + o.Sum, Over: h.Over + o.Over}
-	for i := range h.Buckets {
-		m.Buckets[i] = h.Buckets[i] + o.Buckets[i]
-	}
-	return m
 }

@@ -213,27 +213,10 @@ func (c *Cycles) Sub(prev *Cycles) Cycles {
 	return d
 }
 
-// Merge returns the sum c + o (the inverse of Sub, for combining windowed
-// deltas).
-func (c *Cycles) Merge(o *Cycles) Cycles {
-	var m Cycles
-	for i := range c.ByCat {
-		m.ByCat[i] = c.ByCat[i] + o.ByCat[i]
-	}
-	for i := range c.BySyscall {
-		m.BySyscall[i] = c.BySyscall[i] + o.BySyscall[i]
-	}
-	for i := range c.ByMode {
-		m.ByMode[i] = c.ByMode[i] + o.ByMode[i]
-	}
-	m.Total = c.Total + o.Total
-	return m
-}
-
 // Series accumulates scalar observations as moment sums (count, sum, sum of
 // squares) so sampled runs can report a mean with a standard-error estimate.
-// Moment sums — unlike Welford state — subtract cleanly, which lets
-// report.Delta compute the series for a measurement window as end − start.
+// Moment sums — unlike Welford state — subtract and add cleanly, so
+// report.Delta and report.Merge treat the fields as ordinary counters.
 type Series struct {
 	// N is the number of observations.
 	N uint64
@@ -279,19 +262,6 @@ func (s *Series) StdErr() float64 {
 		return 0
 	}
 	return math.Sqrt(s.Var() / float64(s.N))
-}
-
-// Sub returns the difference s - prev, the series of observations recorded
-// between two snapshots.
-func (s Series) Sub(prev Series) Series {
-	return Series{N: s.N - prev.N, Sum: s.Sum - prev.Sum, SumSq: s.SumSq - prev.SumSq}
-}
-
-// Merge returns the combined series s + o (the inverse of Sub). Because the
-// state is plain moment sums, a left-to-right fold of per-window deltas in
-// window order reproduces the serial accumulation bit for bit.
-func (s Series) Merge(o Series) Series {
-	return Series{N: s.N + o.N, Sum: s.Sum + o.Sum, SumSq: s.SumSq + o.SumSq}
 }
 
 func privIndex(priv bool) int {
