@@ -73,10 +73,10 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestHotAllocAgreesWithZeroAllocGate ties the static allocation gate to the
 // dynamic one: hotalloc over the repository must be clean exactly when the
-// runtime benchmark gate (pipeline's TestEngineStepZeroAlloc) passes. If the
-// two ever disagree, either the analyzer has a hole (static clean, dynamic
-// fails) or it over-approximates an idiom the hot path legitimately uses
-// (static findings, dynamic passes).
+// runtime gates (pipeline's TestEngineStepZeroAlloc and netsim's
+// TestTickZeroAlloc) pass. If the two ever disagree, either the analyzer
+// has a hole (static clean, dynamic fails) or it over-approximates an idiom
+// the hot path legitimately uses (static findings, dynamic passes).
 func TestHotAllocAgreesWithZeroAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list -export and a child go test")
@@ -88,7 +88,7 @@ func TestHotAllocAgreesWithZeroAllocGate(t *testing.T) {
 	diags := analysis.Run(pkgs, []*analysis.Analyzer{analysis.HotAlloc})
 	staticClean := len(diags) == 0
 
-	cmd := exec.Command("go", "test", "-count=1", "-run", "TestEngineStepZeroAlloc", "./internal/pipeline")
+	cmd := exec.Command("go", "test", "-count=1", "-run", "^(TestEngineStepZeroAlloc|TestTickZeroAlloc)$", "./internal/pipeline", "./internal/netsim")
 	cmd.Dir = "../.."
 	out, runErr := cmd.CombinedOutput()
 	dynamicClean := runErr == nil
@@ -97,7 +97,7 @@ func TestHotAllocAgreesWithZeroAllocGate(t *testing.T) {
 		for _, d := range diags {
 			t.Logf("hotalloc: %s", d)
 		}
-		t.Fatalf("static and dynamic gates disagree: hotalloc clean=%v, TestEngineStepZeroAlloc pass=%v\n%s",
+		t.Fatalf("static and dynamic gates disagree: hotalloc clean=%v, zero-alloc tests pass=%v\n%s",
 			staticClean, dynamicClean, out)
 	}
 }

@@ -336,6 +336,7 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 func BenchmarkCacheAccess(b *testing.B) {
 	c := New(Config{Name: "L1D", SizeBytes: 128 << 10, Ways: 2, LineShift: 6})
 	b.ReportAllocs()
+	b.ResetTimer()
 	addr := uint64(0)
 	for i := 0; i < b.N; i++ {
 		c.Access(addr, u1, i&7 == 0)

@@ -126,8 +126,11 @@ type netState struct {
 	// via socket.idleWakeAt); reapIdle advances it each tick instead of
 	// scanning the socket table. Derived state: rebuilt on restore.
 	idleWheel *timerwheel.Wheel
-	// idleDue is reapIdle's per-tick scratch of sockets due for reaping,
-	// sorted ascending so teardown order matches the old table scan.
+	// idleSet collects reapIdle's per-tick sockets due for reaping; idleDue
+	// is the scratch list they are drained into in ascending id order, so
+	// teardown order matches the old table scan. idleSet covers the whole
+	// socket table and grows only with it (allocSocket, restore).
+	idleSet *timerwheel.DueSet
 	idleDue []int32
 	// dirtyRing is deliverFrames' per-batch ring of sockets with deferred
 	// readiness wakeups (drained in mark order; empty between batches).
@@ -143,7 +146,7 @@ type netState struct {
 }
 
 func newNetState() *netState {
-	ns := &netState{byConn: flatmap.New(0), idleWheel: timerwheel.New(0)}
+	ns := &netState{byConn: flatmap.New(0), idleWheel: timerwheel.New(0), idleSet: timerwheel.NewDueSet(1)}
 	// Socket 0 is the server's listen socket.
 	ns.socks = append(ns.socks, &socket{id: 0, listen: true})
 	return ns
@@ -188,6 +191,7 @@ func (k *Kernel) allocSocket() *socket {
 	}
 	s := &socket{id: len(ns.socks)} //detlint:ignore hotalloc one-time slot growth; every later alloc reuses the freelist
 	ns.socks = append(ns.socks, s)
+	ns.idleSet.Grow(len(ns.socks))
 	return s
 }
 
@@ -488,15 +492,15 @@ func (k *Kernel) backlogLimit() int {
 // entry for a socket that has since been active re-arms lazily at
 // lastActive+timeout. Per tick this costs O(entries due), and each socket
 // fires at most ceil(idle span / timeout) times over its life — the same
-// reap ticks as the scan, independent of table size. Due sockets are torn
-// down in ascending id order, matching the scan (FIN transmit order feeds
-// the fault injector's streams).
+// reap ticks as the scan, independent of table size. Due sockets are
+// drained in ascending id order from a timerwheel.DueSet and torn down in
+// that order, matching the scan (FIN transmit order feeds the fault
+// injector's streams).
 //
 //detlint:hot per-tick idle-timeout sweep; O(due), not O(table)
 func (k *Kernel) reapIdle() {
 	ns := k.net
 	timeout := k.cfg.IdleTimeoutTicks
-	ns.idleDue = ns.idleDue[:0]
 	for _, e := range ns.idleWheel.Advance(ns.ticks) {
 		s := ns.sock(int(e.ID))
 		if s == nil || e.Due != s.idleWakeAt {
@@ -511,9 +515,9 @@ func (k *Kernel) reapIdle() {
 			k.armIdle(s)
 			continue
 		}
-		ns.idleDue = append(ns.idleDue, e.ID)
+		ns.idleSet.Add(e.ID)
 	}
-	slices.Sort(ns.idleDue)
+	ns.idleDue = ns.idleSet.Drain(ns.idleDue[:0])
 	for _, sid := range ns.idleDue {
 		s := ns.socks[sid]
 		if s.served && s.reqBytes == 0 {

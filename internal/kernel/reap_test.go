@@ -79,3 +79,70 @@ func TestCrashTeardownTouchesOnlyOwnedSockets(t *testing.T) {
 		t.Fatal("survivor's connection lost its demux entry")
 	}
 }
+
+// TestIdleReapFinsAscending pins the idle reaper's teardown order on a
+// socket table past one DueSet summary word (4096 ids): the batch that
+// fires at tick 3 comes off the wheel out of id order — sockets accepted at
+// tick 1 first, then older sockets whose entries re-armed lazily at tick 2 —
+// yet the FINs must leave in ascending socket id order, as the table scan
+// sent them, and a kernel restored just before must do the same.
+func TestIdleReapFinsAscending(t *testing.T) {
+	const old, fresh = 4000, 200
+	cfg := netCfg()
+	cfg.IdleTimeoutTicks = 2
+	cfg.SocketTableSize = 1 << 13
+	cfg.AcceptBacklog = 1 << 13
+	cfg.FDLimit = 1 << 13
+	k := New(cfg)
+	nic := &scriptNIC{}
+	k.SetNIC(nic)
+	owner := k.threads[0]
+
+	openFrames(k, old) // conns 1..old, sockets 1..old, idle deadline 2
+	for i := 0; i < old; i++ {
+		accept(t, k, owner)
+	}
+	k.net.tick(1)
+	k.reapIdle()
+	touch := make([]Frame, 0, old+fresh)
+	for c := 1; c <= old; c++ {
+		touch = append(touch, Frame{Conn: c, Bytes: 10})
+	}
+	for c := old + 1; c <= old+fresh; c++ {
+		touch = append(touch, Frame{Conn: c, Bytes: 300, Open: true})
+	}
+	k.deliverFrames(touch)
+	for i := 0; i < fresh; i++ {
+		accept(t, k, owner) // idle deadline 3, scheduled at tick 1
+	}
+	k.net.tick(2)
+	k.reapIdle() // old sockets were active at tick 1: re-arm to 3
+	if len(nic.sent) != 0 {
+		t.Fatalf("reaped %d sockets before their timeout", len(nic.sent))
+	}
+	// A kernel restored here rebuilds its idle wheel and DueSet from the
+	// socket table; it must reap the same sockets in the same order.
+	k2 := New(cfg)
+	if _, err := k2.RestoreState(k.Snapshot(), nil); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	nic2 := &scriptNIC{}
+	k2.SetNIC(nic2)
+	for _, run := range []struct {
+		name string
+		k    *Kernel
+		nic  *scriptNIC
+	}{{"live", k, nic}, {"restored", k2, nic2}} {
+		name := run.name
+		run.k.net.tick(3)
+		run.k.reapIdle()
+		if len(run.nic.sent) != old+fresh {
+			t.Fatalf("%s: reaped %d sockets at tick 3, want %d", name, len(run.nic.sent), old+fresh)
+		}
+		for i, fr := range run.nic.sent {
+			if !fr.Close || fr.Conn != i+1 {
+				t.Fatalf("%s: FIN %d went to conn %d (close=%v), want conn %d: not ascending", name, i, fr.Conn, fr.Close, i+1)
+			}
+		}
+	}
+}

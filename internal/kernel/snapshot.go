@@ -509,6 +509,7 @@ func (k *Kernel) RestoreState(s Snapshot, factory ProgFactory) ([]*workload.Scri
 	ns.dirtyRing = ns.dirtyRing[:0]
 	ns.idleDue = ns.idleDue[:0]
 	ns.reapScratch = ns.reapScratch[:0]
+	ns.idleSet.Grow(len(ns.socks))
 	ns.idleWheel.Reset(ns.ticks)
 	for _, so := range ns.socks {
 		if so.free || so.listen || so.owner == 0 {

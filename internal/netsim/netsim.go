@@ -39,20 +39,19 @@
 // client condition the old scan polled (ack flush, trickle sendAt, retryAt,
 // think-time nextAt) is folded into one earliest-need deadline per client
 // (scheduleNeeds) stamped on client.wakeAt; fired wheel entries that no
-// longer match the stamp are stale and skipped. Due clients are processed in
-// ascending index order — exactly the old scan order — and a spuriously
-// woken client takes no action and consumes no randomness, so the frame
-// stream and RNG stream are bit-identical to the reference full-scan driver
-// (reference.go keeps that driver alive behind a test hook, and
-// equivalence_test.go pins byte-identity). The dormant flash-crowd pool is a
-// binary min-heap of client indexes popped in ascending order — the same
-// order the scan found them. The conn→file-size and conn→client demux
-// tables are flat free-listed hash tables (internal/flatmap), not Go maps.
+// longer match the stamp are stale and skipped. Due clients are drained in
+// ascending index order from a timerwheel.DueSet — exactly the old scan
+// order, with no sort — and a spuriously woken client takes no action and
+// consumes no randomness, so the frame stream and RNG stream are
+// bit-identical to the reference full-scan driver (reference.go keeps that
+// driver alive behind a test hook, and equivalence_test.go pins
+// byte-identity). The dormant flash-crowd pool is a binary min-heap of
+// client indexes popped in ascending order — the same order the scan found
+// them. The conn→file-size and conn→client demux tables are flat
+// free-listed hash tables (internal/flatmap), not Go maps.
 package netsim
 
 import (
-	"slices"
-
 	"repro/internal/faults"
 	"repro/internal/flatmap"
 	"repro/internal/kernel"
@@ -181,9 +180,11 @@ type Network struct {
 	// wheel holds one entry per armed client wake-up; client.wakeAt
 	// distinguishes live entries from stale ones.
 	wheel *timerwheel.Wheel //detlint:ignore snapshotcomplete derived: rebuilt by canonical re-arm from client deadlines on restore
-	// due is the per-tick scratch list of woken client indexes, sorted
-	// ascending to match the reference scan order.
-	due []int32 //detlint:ignore snapshotcomplete per-tick scratch, empty between ticks
+	// dueSet collects each tick's live fired client indexes; due is the
+	// per-tick scratch list they are drained into in ascending order, the
+	// reference scan order.
+	dueSet *timerwheel.DueSet //detlint:ignore snapshotcomplete per-tick scratch, empty between ticks
+	due    []int32            //detlint:ignore snapshotcomplete per-tick scratch, empty between ticks
 	// dormant is a binary min-heap of dormant flash-crowd client indexes;
 	// ascending pops reproduce the reference scan's wake order.
 	dormant []int32 //detlint:ignore snapshotcomplete derived: rebuilt from client kind/nextAt on restore
@@ -245,6 +246,7 @@ func New(cfg Config) *Network {
 		files:      flatmap.New(cfg.Clients + cfg.BurstPool),
 		connClient: flatmap.New(cfg.Clients + cfg.BurstPool),
 		wheel:      timerwheel.New(0),
+		dueSet:     timerwheel.NewDueSet(cfg.Clients + cfg.BurstPool),
 		refScan:    defaultRefScan,
 	}
 	if cfg.StaggerTicks > 0 {
@@ -601,18 +603,19 @@ func (n *Network) Tick(now uint64) []kernel.Frame {
 		}
 		return n.outBuf
 	}
-	n.due = n.due[:0]
 	for _, e := range n.wheel.Advance(n.ticks) {
 		c := &n.clients[e.ID]
 		if c.wakeAt != e.Due {
 			continue // stale: superseded by a re-arm
 		}
 		c.wakeAt = 0
-		n.due = append(n.due, e.ID)
+		n.dueSet.Add(e.ID)
 	}
 	// The wheel fires in slot order; the reference scan ran in client
-	// order. Sorting restores the canonical order (and RNG draw order).
-	slices.Sort(n.due)
+	// order. Draining the set yields that canonical order (and RNG draw
+	// order) by construction. The wakeAt stamps allow at most one live
+	// entry per client per tick, so set semantics drop nothing.
+	n.due = n.dueSet.Drain(n.due[:0])
 	for _, i := range n.due {
 		n.stepClient(i)
 	}

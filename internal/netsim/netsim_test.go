@@ -176,3 +176,45 @@ func TestKeepAliveConnectionsReused(t *testing.T) {
 		t.Fatal("client never closed the kept-alive connection")
 	}
 }
+
+// TestTickZeroAlloc pins the event-driven tick at zero allocations once
+// warm, dynamically, next to the static hotalloc root on Tick: a 100k-client
+// staggered fleet (250 arrivals per tick) answered by a responder that
+// keeps its state in preallocated slices.
+func TestTickZeroAlloc(t *testing.T) {
+	const clients, stagger = 100_000, 400
+	n := New(Config{Clients: clients, Seed: 7, RequestBytes: 300, ThinkTicks: stagger, StaggerTicks: stagger})
+	n.SetReferenceScan(false)
+	type resp struct{ conn, left int }
+	active := make([]resp, 0, 1<<14)
+	tick := uint64(0)
+	step := func() {
+		tick++
+		for _, fr := range n.Tick(tick) {
+			if fr.Open && fr.Bytes > 0 {
+				active = append(active, resp{fr.Conn, n.FileSize(fr.Conn)})
+			}
+		}
+		kept := active[:0]
+		for _, r := range active {
+			for seg := 0; seg < 2 && r.left > 0; seg++ {
+				chunk := min(1460, r.left)
+				r.left -= chunk
+				n.Transmit(kernel.Frame{Conn: r.conn, Bytes: chunk}, 0)
+			}
+			if r.left > 0 {
+				kept = append(kept, r)
+			}
+		}
+		active = kept
+	}
+	for i := 0; i < 4*stagger; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(400, step); avg != 0 {
+		t.Fatalf("warm Tick allocates %.3f times per tick, want 0", avg)
+	}
+	if n.Completed == 0 {
+		t.Fatal("no request completed: the fleet never reached steady state")
+	}
+}

@@ -13,7 +13,9 @@
 //   - Entries within a slot keep FIFO insertion order and cascades preserve
 //     it, so the fire order of same-deadline entries is a pure function of
 //     the schedule order. Callers that need a canonical order (the netsim
-//     client scan runs in ascending client index) sort the fired batch.
+//     client scan runs in ascending client index) add the fired IDs to a
+//     DueSet and drain them in ascending order, so no fired batch is ever
+//     sorted.
 //   - Advance reuses one internal scratch buffer; nothing on the
 //     schedule/advance path allocates in steady state beyond amortized slot
 //     growth (the hotalloc analyzer pins this — see ANALYSIS.md).
